@@ -8,6 +8,10 @@ use dnsttl_wire::{Name, RData, Record, RecordType, SoaData, Ttl};
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
+/// The RRsets one owner name holds, by type. Never empty: removing a
+/// name's last type removes the name.
+type RRsets = BTreeMap<RecordType, Vec<Record>>;
+
 /// Result of looking a name up in one zone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ZoneLookup {
@@ -52,7 +56,11 @@ pub struct Zone {
     origin: Name,
     soa: SoaData,
     soa_ttl: Ttl,
-    records: BTreeMap<Name, BTreeMap<RecordType, Vec<Record>>>,
+    /// Owner names in canonical order (RFC 4034 §6.1). Every
+    /// descendant of a name sorts directly after it, so one ordered
+    /// probe tells whether a name exists as an owner, as an empty
+    /// non-terminal, or not at all.
+    records: BTreeMap<Name, RRsets>,
 }
 
 impl Zone {
@@ -168,11 +176,8 @@ impl Zone {
 
     /// Records of `rtype` at exactly `name`, as stored.
     pub fn get(&self, name: &Name, rtype: RecordType) -> &[Record] {
-        self.records
-            .get(name)
-            .and_then(|t| t.get(&rtype))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.owner(name)
+            .map_or(&[], |(_, rrsets)| of_type(rrsets, rtype))
     }
 
     /// Iterates over all records in the zone.
@@ -187,54 +192,83 @@ impl Zone {
         self.records.keys()
     }
 
-    /// Finds the closest delegation cut strictly between the origin and
-    /// `qname` (inclusive of `qname` itself).
-    fn delegation_cut(&self, qname: &Name) -> Option<&Name> {
-        // Walk the ancestry from just below the origin down to qname;
-        // the *highest* cut wins (a zone cannot see past its first cut).
-        for ancestor in qname.ancestry() {
-            if ancestor.label_count() <= self.origin.label_count() {
-                continue;
-            }
-            if !ancestor.is_subdomain_of(&self.origin) {
-                return None;
-            }
-            if ancestor == self.origin {
-                continue;
-            }
-            if self
-                .records
-                .get(&ancestor)
-                .map(|t| t.contains_key(&RecordType::NS))
-                .unwrap_or(false)
-            {
-                // A cut at the ancestor name. `ancestry()` yields the
-                // root first, so this is the highest cut.
-                return self.records.get_key_value(&ancestor).map(|(k, _)| k);
-            }
-        }
-        None
+    /// The owner `name` as stored, with its RRsets. One O(log n)
+    /// probe.
+    fn owner(&self, name: &Name) -> Option<(&Name, &RRsets)> {
+        #[cfg(test)]
+        tests::count_probe();
+        self.records.get_key_value(name)
     }
 
-    /// True if `name` exists in the zone, either with records or as an
-    /// empty non-terminal (an ancestor of an existing name).
-    fn name_exists(&self, name: &Name) -> bool {
-        if self.records.contains_key(name) {
-            return true;
+    /// The first owner at or after `name` in canonical order. One
+    /// O(log n) probe.
+    fn owner_at_or_after(&self, name: &Name) -> Option<(&Name, &RRsets)> {
+        #[cfg(test)]
+        tests::count_probe();
+        self.records.range::<Name, _>(name..).next()
+    }
+
+    /// The highest delegation cut strictly between the origin and
+    /// `qname` (both exclusive), with its RRsets. Only names two or
+    /// more labels below the origin have such ancestors; `lookup`
+    /// checks `qname` itself with its own probe.
+    fn cut_above(&self, qname: &Name) -> Option<(&Name, &RRsets)> {
+        let (top, depth) = (self.origin.label_count(), qname.label_count());
+        if depth < top + 2 {
+            return None;
         }
-        self.records.keys().any(|k| k.is_strict_subdomain_of(name))
+        // `ancestry()` yields the root first, so the first cut found
+        // is the highest (a zone cannot see past its first cut).
+        qname
+            .ancestry()
+            .into_iter()
+            .skip(top + 1)
+            .take(depth - top - 1)
+            .find_map(|ancestor| {
+                self.owner(&ancestor)
+                    .filter(|(_, rrsets)| rrsets.contains_key(&RecordType::NS))
+            })
+    }
+
+    /// The referral for a delegation cut.
+    fn referral(&self, cut: &Name, rrsets: &RRsets) -> ZoneLookup {
+        let ns_records = of_type(rrsets, RecordType::NS).to_vec();
+        let mut glue = Vec::new();
+        for ns in &ns_records {
+            if let RData::Ns(target) = &ns.rdata {
+                // Glue is served for targets inside this zone's
+                // namespace (typically in-bailiwick of the cut).
+                if target.is_subdomain_of(&self.origin) {
+                    glue.extend(self.addresses_for(target));
+                }
+            }
+        }
+        ZoneLookup::Referral {
+            cut: cut.clone(),
+            ns_records,
+            glue,
+        }
     }
 
     /// Addresses (A/AAAA) this zone holds for `target`, used to populate
     /// glue and additional sections.
     fn addresses_for(&self, target: &Name) -> Vec<Record> {
+        let Some((_, rrsets)) = self.owner(target) else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
-        out.extend_from_slice(self.get(target, RecordType::A));
-        out.extend_from_slice(self.get(target, RecordType::AAAA));
+        out.extend_from_slice(of_type(rrsets, RecordType::A));
+        out.extend_from_slice(of_type(rrsets, RecordType::AAAA));
         out
     }
 
     /// Looks up `qname`/`qtype` following RFC 1034 §4.3.2.
+    ///
+    /// Besides the cut check on ancestors (none for names one label
+    /// below the origin), everything about `qname` itself — a cut at
+    /// it, its records, a CNAME, or whether it exists at all — comes
+    /// from one ordered probe, so an NXDOMAIN costs O(log n) like an
+    /// answer.
     pub fn lookup(&self, qname: &Name, qtype: RecordType) -> ZoneLookup {
         if !qname.is_subdomain_of(&self.origin) {
             return ZoneLookup::NotInZone;
@@ -244,28 +278,33 @@ impl Zone {
         // the question is for the cut's NS records from the parent side
         // (still a referral per RFC 1034: the parent is not
         // authoritative below the cut).
-        if let Some(cut) = self.delegation_cut(qname) {
-            let cut = cut.clone();
-            let ns_records = self.get(&cut, RecordType::NS).to_vec();
-            let mut glue = Vec::new();
-            for ns in &ns_records {
-                if let RData::Ns(target) = &ns.rdata {
-                    // Glue is served for targets inside this zone's
-                    // namespace (typically in-bailiwick of the cut).
-                    if target.is_subdomain_of(&self.origin) {
-                        glue.extend(self.addresses_for(target));
-                    }
+        if let Some((cut, rrsets)) = self.cut_above(qname) {
+            return self.referral(cut, rrsets);
+        }
+        let rrsets = match self.owner_at_or_after(qname) {
+            Some((owner, rrsets)) if owner == qname => {
+                if owner != &self.origin && rrsets.contains_key(&RecordType::NS) {
+                    return self.referral(owner, rrsets);
+                }
+                rrsets
+            }
+            // No records at qname: it exists only as an empty
+            // non-terminal, and then its first descendant is the next
+            // owner in canonical order.
+            Some((next, _)) if next.is_strict_subdomain_of(qname) => {
+                return ZoneLookup::NoData {
+                    soa: self.soa_record(),
                 }
             }
-            return ZoneLookup::Referral {
-                cut,
-                ns_records,
-                glue,
-            };
-        }
+            _ => {
+                return ZoneLookup::NxDomain {
+                    soa: self.soa_record(),
+                }
+            }
+        };
 
         // Exact-name processing.
-        let direct = self.get(qname, qtype);
+        let direct = of_type(rrsets, qtype);
         if !direct.is_empty() {
             let mut additionals = Vec::new();
             for r in direct {
@@ -286,7 +325,7 @@ impl Zone {
         // contain CNAME loops (misconfiguration), and a server must
         // answer with the partial chain rather than recurse forever.
         if qtype != RecordType::CNAME {
-            if let Some(first) = self.get(qname, RecordType::CNAME).first() {
+            if let Some(first) = of_type(rrsets, RecordType::CNAME).first() {
                 let mut records = vec![first.clone()];
                 let mut seen: Vec<Name> = vec![qname.clone()];
                 let mut cursor = first.clone();
@@ -318,16 +357,15 @@ impl Zone {
             }
         }
 
-        if self.name_exists(qname) {
-            ZoneLookup::NoData {
-                soa: self.soa_record(),
-            }
-        } else {
-            ZoneLookup::NxDomain {
-                soa: self.soa_record(),
-            }
+        ZoneLookup::NoData {
+            soa: self.soa_record(),
         }
     }
+}
+
+/// The records of `rtype` in one owner's RRsets, as stored.
+fn of_type(rrsets: &RRsets, rtype: RecordType) -> &[Record] {
+    rrsets.get(&rtype).map_or(&[], Vec::as_slice)
 }
 
 /// Fluent zone construction for experiments and tests.
@@ -457,6 +495,23 @@ impl ZoneBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnsttl_netsim::SimRng;
+    use std::cell::Cell;
+
+    thread_local! {
+        static PROBES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Counts one probe of a zone's owner map (called from the probe
+    /// helpers, test builds only).
+    pub(super) fn count_probe() {
+        PROBES.with(|p| p.set(p.get() + 1));
+    }
+
+    /// Owner-map probes since the last call.
+    fn probes() -> usize {
+        PROBES.with(Cell::take)
+    }
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -660,6 +715,246 @@ mod tests {
         let mut zone = cl_zone();
         assert_eq!(zone.remove(&n("www.example.cl"), RecordType::A), 1);
         assert_eq!(zone.remove(&n("www.example.cl"), RecordType::A), 0);
+    }
+
+    /// The linear existence test `lookup` used before the ordered
+    /// probe: any owner at or strictly below `name`.
+    fn name_exists_linear(zone: &Zone, name: &Name) -> bool {
+        zone.records.contains_key(name)
+            || zone.records.keys().any(|k| k.is_strict_subdomain_of(name))
+    }
+
+    /// `lookup` as it was before the ordered probe: an ancestry walk
+    /// for the cut, then separate probes for the qtype, the CNAME, the
+    /// owner, and the linear existence scan.
+    fn lookup_oracle(zone: &Zone, qname: &Name, qtype: RecordType) -> ZoneLookup {
+        if !qname.is_subdomain_of(&zone.origin) {
+            return ZoneLookup::NotInZone;
+        }
+        let cut = qname.ancestry().into_iter().find_map(|ancestor| {
+            (ancestor.label_count() > zone.origin.label_count()
+                && zone
+                    .records
+                    .get(&ancestor)
+                    .is_some_and(|t| t.contains_key(&RecordType::NS)))
+            .then(|| {
+                zone.records
+                    .get_key_value(&ancestor)
+                    .map(|(k, _)| k.clone())
+            })
+            .flatten()
+        });
+        if let Some(cut) = cut {
+            let ns_records = zone.get(&cut, RecordType::NS).to_vec();
+            let mut glue = Vec::new();
+            for ns in &ns_records {
+                if let RData::Ns(target) = &ns.rdata {
+                    if target.is_subdomain_of(&zone.origin) {
+                        glue.extend_from_slice(zone.get(target, RecordType::A));
+                        glue.extend_from_slice(zone.get(target, RecordType::AAAA));
+                    }
+                }
+            }
+            return ZoneLookup::Referral {
+                cut,
+                ns_records,
+                glue,
+            };
+        }
+        let direct = zone.get(qname, qtype);
+        if !direct.is_empty() {
+            let mut additionals = Vec::new();
+            for r in direct {
+                if let Some(target) = r.rdata.target_name() {
+                    if r.record_type() != RecordType::CNAME {
+                        additionals.extend_from_slice(zone.get(target, RecordType::A));
+                        additionals.extend_from_slice(zone.get(target, RecordType::AAAA));
+                    }
+                }
+            }
+            return ZoneLookup::Answer {
+                records: direct.to_vec(),
+                additionals,
+            };
+        }
+        if qtype != RecordType::CNAME {
+            if let Some(first) = zone.get(qname, RecordType::CNAME).first() {
+                let mut records = vec![first.clone()];
+                let mut seen: Vec<Name> = vec![qname.clone()];
+                let mut cursor = first.clone();
+                for _ in 0..8 {
+                    let RData::Cname(target) = &cursor.rdata else {
+                        break;
+                    };
+                    if seen.contains(target) {
+                        break;
+                    }
+                    seen.push(target.clone());
+                    let direct = zone.get(target, qtype);
+                    if !direct.is_empty() {
+                        records.extend_from_slice(direct);
+                        break;
+                    }
+                    match zone.get(target, RecordType::CNAME).first() {
+                        Some(next) => {
+                            records.push(next.clone());
+                            cursor = next.clone();
+                        }
+                        None => break,
+                    }
+                }
+                return ZoneLookup::Answer {
+                    records,
+                    additionals: Vec::new(),
+                };
+            }
+        }
+        if name_exists_linear(zone, qname) {
+            ZoneLookup::NoData {
+                soa: zone.soa_record(),
+            }
+        } else {
+            ZoneLookup::NxDomain {
+                soa: zone.soa_record(),
+            }
+        }
+    }
+
+    /// A random name 1–4 labels below `origin`, drawn from a small
+    /// mixed-case label alphabet so names share ancestors, collide
+    /// case-insensitively, and leave empty non-terminals.
+    fn random_name(rng: &mut SimRng, origin: &Name) -> Name {
+        const LABELS: [&str; 8] = ["a", "B", "c", "Dd", "dD", "www", "ns", "x-1"];
+        let mut name = origin.clone();
+        for _ in 0..=rng.below(4) {
+            name = name
+                .child(LABELS[rng.below(LABELS.len() as u64) as usize])
+                .unwrap();
+        }
+        name
+    }
+
+    /// A seeded random zone: addresses, MX and TXT data, CNAMEs (loops
+    /// included), apex NS, and delegation cuts with in-zone glue and
+    /// occluded data below them.
+    fn random_zone(rng: &mut SimRng, origin: &str) -> Zone {
+        let origin = n(origin);
+        let mut zone = Zone::new(origin.clone());
+        let ttl = Ttl::HOUR;
+        zone.add(Record::new(
+            origin.clone(),
+            ttl,
+            RData::Ns(n("ns.elsewhere.example")),
+        ));
+        for i in 0..rng.range_u64(5, 40) {
+            let owner = random_name(rng, &origin);
+            let rdata = match rng.below(8) {
+                0 | 1 => RData::A(Ipv4Addr::from(rng.next_u64() as u32)),
+                2 => RData::Aaaa(Ipv6Addr::from(u128::from(rng.next_u64()))),
+                3 => RData::Mx {
+                    preference: 10,
+                    exchange: random_name(rng, &origin),
+                },
+                4 => RData::Txt(format!("t{i}")),
+                5 => RData::Cname(random_name(rng, &origin)),
+                _ => {
+                    // A cut, served by a name below it (glue) or
+                    // elsewhere; sometimes the glue itself.
+                    let target = if rng.chance(0.7) {
+                        owner.child("ns").unwrap()
+                    } else {
+                        n("ns.other.example")
+                    };
+                    if target.is_subdomain_of(&origin) {
+                        let glue = Ipv4Addr::from(rng.next_u64() as u32);
+                        zone.add(Record::new(target.clone(), ttl, RData::A(glue)));
+                    }
+                    RData::Ns(target)
+                }
+            };
+            zone.add(Record::new(owner, ttl, rdata));
+        }
+        zone
+    }
+
+    #[test]
+    fn ordered_probe_matches_the_linear_oracle_on_random_zones() {
+        const QTYPES: [RecordType; 8] = [
+            RecordType::A,
+            RecordType::AAAA,
+            RecordType::NS,
+            RecordType::CNAME,
+            RecordType::MX,
+            RecordType::TXT,
+            RecordType::SOA,
+            RecordType::DNSKEY,
+        ];
+        let mut rng = SimRng::seed_from(0x20_4E_5A);
+        let (mut nxdomain, mut nodata) = (0, 0);
+        for round in 0..300 {
+            let origin = ["example.cl", "cl", "."][round % 3];
+            let zone = random_zone(&mut rng, origin);
+            let owners: Vec<Name> = zone.names().cloned().collect();
+            for _ in 0..60 {
+                let qname = match rng.below(4) {
+                    0 => owners[rng.below(owners.len() as u64) as usize].clone(),
+                    1 => n("out.of.zone.example.org"),
+                    _ => random_name(&mut rng, zone.origin()),
+                };
+                let qtype = QTYPES[rng.below(QTYPES.len() as u64) as usize];
+                let got = zone.lookup(&qname, qtype);
+                let expect = lookup_oracle(&zone, &qname, qtype);
+                // Debug output keeps each name's stored case, so a cut
+                // returned under another spelling would show.
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{expect:?}"),
+                    "{qname} {qtype:?}"
+                );
+                match got {
+                    ZoneLookup::NxDomain { .. } => {
+                        nxdomain += 1;
+                        assert!(!name_exists_linear(&zone, &qname), "{qname}");
+                    }
+                    ZoneLookup::NoData { .. } => {
+                        nodata += 1;
+                        assert!(name_exists_linear(&zone, &qname), "{qname}");
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            nxdomain > 500 && nodata > 500,
+            "{nxdomain} NXDOMAIN, {nodata} NODATA"
+        );
+    }
+
+    #[test]
+    fn nxdomain_probes_do_not_grow_with_the_zone() {
+        let mut counts = Vec::new();
+        for names in [1_000, 10_000] {
+            let mut zone = ZoneBuilder::new("zipf").ns("zipf", "ns.zipf", Ttl::HOUR);
+            for k in 0..names {
+                zone = zone.a(&format!("r{k}.zipf"), "10.0.0.1", Ttl::HOUR);
+            }
+            let zone = zone.build();
+            probes();
+            let shallow = zone.lookup(&n("x0123456789abcdef.zipf"), RecordType::A);
+            let shallow_probes = probes();
+            let deep = zone.lookup(&n("a.b.x0123456789abcdef.zipf"), RecordType::A);
+            let deep_probes = probes();
+            let answer = zone.lookup(&n("r999.zipf"), RecordType::A);
+            let answer_probes = probes();
+            assert!(matches!(shallow, ZoneLookup::NxDomain { .. }));
+            assert!(matches!(deep, ZoneLookup::NxDomain { .. }));
+            assert!(matches!(answer, ZoneLookup::Answer { .. }));
+            counts.push((shallow_probes, deep_probes, answer_probes));
+        }
+        // One probe for a name one label below the origin, plus one per
+        // intermediate ancestor for deeper names, at any zone size.
+        assert_eq!(counts[0], (1, 3, 1));
+        assert_eq!(counts[0], counts[1]);
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //! The wheel is *not* allowed to change anything observable: the cache
 //! eviction oracle, the concurrent-equivalence harness, and the campaign
 //! oracles all diff against retained `BTreeSet`/`BinaryHeap`
-//! implementations. Slot vectors are deliberately unsorted (pushes are
-//! O(1)); every peek/pop selects the minimum `(time, tie)` entry of the
-//! earliest occupied bucket by a full lexicographic scan, which
-//! reproduces the exact `(SimTime, Name, u16)` / `(fire_time_ms,
-//! probe_idx)` drain order of the ordered structures it replaces.
+//! implementations. Slot vectors are unsorted (pushes are O(1)); every
+//! peek/pop selects the minimum `(time, tie)` entry of the earliest
+//! occupied bucket by a full lexicographic scan, which reproduces the
+//! exact `(SimTime, Name, u16)` / `(fire_time_ms, probe_idx)` drain
+//! order of the ordered structures it replaces.
 //! Bucket ranges are disjoint and monotone across levels (lower level ⇒
 //! earlier window), so "earliest occupied bucket" is well-defined, and
 //! entries whose time is already behind the wheel's base clamp into the
@@ -216,40 +216,82 @@ impl<T: Ord> TimingWheel<T> {
         }
     }
 
-    /// Removes the entry `(at_ms, tie)` if present. O(bucket size).
+    /// Removes the entry `(at_ms, tie)` if present. See
+    /// [`TimingWheel::cancel_by`] for the cost.
     pub fn cancel(&mut self, at_ms: u64, tie: &T) -> bool {
         self.cancel_by(at_ms, |k| k == tie)
     }
 
     /// Removes the first entry at `at_ms` whose tie satisfies
-    /// `matches`, if any. O(bucket size). Lets callers cancel by parts
-    /// of a composite tie without building one.
+    /// `matches`, if any. Lets callers cancel by parts of a composite
+    /// tie without building one.
+    ///
+    /// O(bucket size), but it compares fire times as `u64` and calls
+    /// `matches` only on entries at `at_ms`; no tie is ever ordered.
+    /// `earliest_ms()` can only change when the cancelled entry was the
+    /// last one at the earliest instant; only then is the front bucket
+    /// rescanned, by fire time alone.
     pub fn cancel_by(&mut self, at_ms: u64, matches: impl Fn(&T) -> bool) -> bool {
         let when = at_ms.max(self.base);
-        let bucket: &mut Vec<(u64, T)> = match self.placement(when) {
+        let placement = self.placement(when);
+        let bucket: &mut Vec<(u64, T)> = match placement {
             Placement::Slot(level, slot) => match self.levels.as_deref_mut() {
                 Some(levels) => &mut levels[level].slots[slot],
                 None => return false,
             },
             Placement::Overflow => &mut self.overflow,
         };
-        let Some(pos) = bucket.iter().position(|(t, k)| *t == at_ms && matches(k)) else {
+        // One pass: find the match and note whether another entry at
+        // `at_ms` precedes it; only if none does is the rest checked.
+        let mut other_at_instant = false;
+        let Some(pos) = bucket.iter().position(|(t, k)| {
+            if *t != at_ms {
+                return false;
+            }
+            if matches(k) {
+                return true;
+            }
+            other_at_instant = true;
+            false
+        }) else {
             return false;
         };
+        let last_at_instant = self.earliest == Some(at_ms)
+            && !other_at_instant
+            && !bucket[pos + 1..].iter().any(|(t, _)| *t == at_ms);
         bucket.swap_remove(pos);
         self.len -= 1;
         if bucket.is_empty() {
             // Re-borrow to clear the occupancy bit (overflow has none).
-            if let Placement::Slot(level, slot) = self.placement(when) {
+            if let Placement::Slot(level, slot) = placement {
                 if let Some(levels) = self.levels.as_deref_mut() {
                     levels[level].unset(slot);
                 }
             }
         }
-        if self.earliest == Some(at_ms) {
-            self.earliest = self.peek().map(|(t, _)| t);
+        if last_at_instant {
+            self.earliest = self.front_time();
         }
         true
+    }
+
+    /// The bucket holding the earliest entry: the first occupied slot
+    /// of the lowest occupied level, else the overflow bucket.
+    fn front_bucket(&self) -> &[(u64, T)] {
+        if let Some(levels) = self.levels.as_deref() {
+            for level in levels.iter() {
+                if let Some(slot) = level.first_slot() {
+                    return &level.slots[slot];
+                }
+            }
+        }
+        &self.overflow
+    }
+
+    /// Earliest pending fire time by a scan of the front bucket's times
+    /// alone — no tie comparisons.
+    fn front_time(&self) -> Option<u64> {
+        self.front_bucket().iter().map(|(t, _)| *t).min()
     }
 
     /// The earliest entry without cascading. O(front bucket size).
@@ -258,14 +300,10 @@ impl<T: Ord> TimingWheel<T> {
     /// available. Prefer [`TimingWheel::first`] on hot paths: cascading
     /// keeps the front bucket at 1 ms granularity.
     pub fn peek(&self) -> Option<(u64, &T)> {
-        if let Some(levels) = self.levels.as_deref() {
-            for level in levels.iter() {
-                if let Some(slot) = level.first_slot() {
-                    return bucket_min(&level.slots[slot]);
-                }
-            }
-        }
-        bucket_min(&self.overflow)
+        self.front_bucket()
+            .iter()
+            .min_by(|a, b| a.cmp(b))
+            .map(|(t, k)| (*t, k))
     }
 
     /// The earliest entry, cascading first so the answer comes from a
@@ -300,10 +338,7 @@ impl<T: Ord> TimingWheel<T> {
             if bucket.is_empty() {
                 level.unset(slot);
             }
-            self.earliest = runner_up;
-            if runner_up.is_none() {
-                self.earliest = self.peek().map(|(t, _)| t);
-            }
+            self.earliest = runner_up.or_else(|| self.front_time());
             return Some(entry);
         }
         let (pos, runner_up) = bucket_min_pos_and_next(&self.overflow)?;
@@ -423,11 +458,6 @@ fn new_levels<T>() -> Box<[Level<T>; LEVELS]> {
     Box::new([Level::new(), Level::new(), Level::new(), Level::new()])
 }
 
-/// Minimum entry of an unsorted bucket by full `(time, tie)` order.
-fn bucket_min<T: Ord>(bucket: &[(u64, T)]) -> Option<(u64, &T)> {
-    bucket.iter().min_by(|a, b| a.cmp(b)).map(|(t, k)| (*t, k))
-}
-
 /// Position of the minimum entry of an unsorted bucket, plus the fire
 /// time of the runner-up (`None` for a single-entry bucket).
 fn bucket_min_pos_and_next<T: Ord>(bucket: &[(u64, T)]) -> Option<(usize, Option<u64>)> {
@@ -450,6 +480,9 @@ fn bucket_min_pos_and_next<T: Ord>(bucket: &[(u64, T)]) -> Option<(usize, Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
+    use std::cell::Cell;
+    use std::cmp::Ordering;
 
     #[test]
     fn pops_in_time_then_tie_order() {
@@ -561,5 +594,76 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(w.pop_first(), Some((0, i)));
         }
+    }
+
+    thread_local! {
+        static ORD_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// A tie whose ordering comparisons are counted, so complexity
+    /// bounds are asserted as operation counts rather than timings.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Counted(u32);
+
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> Ordering {
+            ORD_CALLS.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    fn ord_calls() -> u64 {
+        ORD_CALLS.with(Cell::take)
+    }
+
+    /// `0..n` in a seeded random order.
+    fn shuffled(n: u32, seed: u64) -> Vec<u32> {
+        let mut rng = SimRng::seed_from(seed);
+        let mut v: Vec<u32> = (0..n).collect();
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        v
+    }
+
+    #[test]
+    fn cancelling_a_same_instant_fill_orders_no_ties() {
+        const N: u32 = 2_048;
+        let (fill_ms, later_ms) = (360_000, 661_000);
+        let mut w = TimingWheel::new();
+        for k in shuffled(N, 1) {
+            w.insert(fill_ms, Counted(k));
+        }
+        w.insert(later_ms, Counted(N));
+        ord_calls();
+        let order = shuffled(N, 2);
+        for (i, k) in order.iter().enumerate() {
+            assert!(w.cancel(fill_ms, &Counted(*k)));
+            let rest = if i + 1 < order.len() {
+                fill_ms
+            } else {
+                later_ms
+            };
+            assert_eq!(w.earliest_ms(), Some(rest));
+            if i + 2 == order.len() {
+                assert_eq!(
+                    ord_calls(),
+                    0,
+                    "cancels while a same-instant entry remained"
+                );
+            }
+        }
+        assert_eq!(
+            ord_calls(),
+            0,
+            "the instant-emptying cancel rescans by time only"
+        );
+        assert_eq!(w.pop_first(), Some((later_ms, Counted(N))));
     }
 }

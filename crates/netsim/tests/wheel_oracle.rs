@@ -159,3 +159,97 @@ fn max_simtime_entries_survive_full_drain() {
     }
     assert!(wheel.is_empty());
 }
+
+/// Asserts the wheel and the oracle agree on everything observable
+/// without mutating: length, earliest fire time, minimum entry.
+fn assert_agree(wheel: &TimingWheel<u64>, oracle: &BTreeSet<(u64, u64)>, ctx: &str) {
+    assert_eq!(wheel.len(), oracle.len(), "{ctx}");
+    assert_eq!(
+        wheel.earliest_ms(),
+        oracle.first().map(|(t, _)| *t),
+        "{ctx}"
+    );
+    assert_eq!(
+        wheel.peek().map(|(t, k)| (t, *k)),
+        oracle.first().copied(),
+        "{ctx}"
+    );
+}
+
+/// A synchronized fill: 2,048 entries at one millisecond, cancelled in
+/// seeded random order, fill order or reverse fill order while entries
+/// keep arriving at a second shared instant (and, now and then, at the
+/// fill's own instant) and pops drain the front — the cache's expiry
+/// index under a refetch storm with eviction. Every step is diffed
+/// against the `BTreeSet` oracle.
+#[test]
+fn same_instant_fill_cancel_insert_pop_matches_oracle() {
+    const FILL: u64 = 2_048;
+    // (fill instant, second instant): the fill in a coarse level, in
+    // level 0, in the overflow bucket; the second instant before, just
+    // after and far after it.
+    let cases = [
+        (360_000u64, 661_000u64),
+        (360_000, 359_999),
+        (200, 201),
+        ((1 << 33) + 7, 5_000),
+        (70_000, (1 << 34) + 1),
+    ];
+    for (case, &(fill_ms, second_ms)) in cases.iter().enumerate() {
+        let mut rng = SimRng::seed_from(0x51A7_0000 + case as u64);
+        let mut wheel = TimingWheel::new();
+        let mut oracle: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut ties: Vec<u64> = (0..FILL).collect();
+        for i in (1..ties.len()).rev() {
+            ties.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        for &tie in &ties {
+            wheel.insert(fill_ms, tie);
+            oracle.insert((fill_ms, tie));
+            assert_agree(&wheel, &oracle, "fill");
+        }
+        // Fill entries not yet cancelled, in fill order.
+        let mut pending = ties;
+        let mut next_tie = FILL;
+        let mut step = 0;
+        while !pending.is_empty() {
+            step += 1;
+            let ctx = format!("case {case} step {step}");
+            match rng.below(100) {
+                0..=59 => {
+                    let pick = match case % 3 {
+                        0 => rng.below(pending.len() as u64) as usize,
+                        1 => 0,
+                        _ => pending.len() - 1,
+                    };
+                    let tie = pending.remove(pick);
+                    if !oracle.remove(&(fill_ms, tie)) {
+                        // Already drained by a pop.
+                        assert!(!wheel.cancel(fill_ms, &tie), "{ctx}");
+                        continue;
+                    }
+                    assert!(wheel.cancel(fill_ms, &tie), "{ctx}");
+                    assert!(!wheel.cancel(fill_ms, &tie), "{ctx}: double cancel");
+                }
+                60..=84 => {
+                    wheel.insert(second_ms, next_tie);
+                    oracle.insert((second_ms, next_tie));
+                    next_tie += 1;
+                }
+                85..=89 => {
+                    wheel.insert(fill_ms, next_tie);
+                    oracle.insert((fill_ms, next_tie));
+                    pending.push(next_tie);
+                    next_tie += 1;
+                }
+                _ => assert_eq!(wheel.pop_first(), oracle.pop_first(), "{ctx}"),
+            }
+            assert_agree(&wheel, &oracle, &ctx);
+        }
+        while let Some(expect) = oracle.pop_first() {
+            assert_eq!(wheel.pop_first(), Some(expect), "case {case} drain");
+            assert_agree(&wheel, &oracle, "drain");
+        }
+        assert!(wheel.is_empty());
+    }
+}

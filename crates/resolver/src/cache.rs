@@ -79,6 +79,9 @@ struct NegEntry {
     expires_at: SimTime,
 }
 
+/// Size of the negative table below which no purge runs.
+const NEG_PURGE_FLOOR: usize = 64;
+
 /// A cached RRset as handed to a client or to the iteration logic:
 /// TTLs already decremented by the entry's age.
 #[derive(Debug, Clone)]
@@ -149,6 +152,13 @@ pub(crate) struct CacheCore {
     /// tier outgrows `protected_cap`. Empty when admission is off.
     protected: TimingWheel<(Name, u16)>,
     negatives: HashMap<(Name, RecordType), NegEntry>,
+    /// Negative-table size at which the next store purges expired
+    /// negatives: twice the survivors of the last purge (at least
+    /// [`NEG_PURGE_FLOOR`]). See [`CacheCore::insert_negative`].
+    neg_purge_at: usize,
+    /// `now` of the last negative purge. Negative stores and lookups
+    /// must not pass an earlier `now` (checked in debug builds).
+    neg_purged_at: SimTime,
     /// Maximum positive entries; `None` = unbounded. Real caches are
     /// bounded, and under pressure the *effective* TTL is the eviction
     /// horizon, not the configured TTL (the paper's \[19\]).
@@ -185,6 +195,8 @@ impl CacheCore {
             probation: TimingWheel::new(),
             protected: TimingWheel::new(),
             negatives: HashMap::new(),
+            neg_purge_at: NEG_PURGE_FLOOR,
+            neg_purged_at: SimTime::ZERO,
             capacity,
             evictions: 0,
             slru,
@@ -622,13 +634,42 @@ impl CacheCore {
         if ttl.is_zero() {
             return;
         }
-        self.negatives.insert(
-            (name, rtype),
-            NegEntry {
-                rcode,
-                expires_at: now + ttl_span(ttl),
-            },
-        );
+        self.insert_negative(name, rtype, rcode, now + ttl_span(ttl), now);
+    }
+
+    /// Stores one negative entry, first purging expired negatives once
+    /// the table has doubled since the last purge.
+    ///
+    /// Nothing else removes negatives on the resolve path, so without
+    /// this a random-subdomain load would grow the table by one entry
+    /// per query forever. Each purge costs O(table) and runs only after
+    /// at least half the table arrived since the last one, so the cost
+    /// is amortized O(1) per store; a load whose names all expire
+    /// within one negative TTL holds at most two TTLs' worth.
+    ///
+    /// The purge is invisible provided `now` never goes backwards on
+    /// this cache (or shared-cache segment): `get_negative` already
+    /// ignores entries expired at `now`, and dropping them writes no
+    /// ledger record and no telemetry. A lookup at a time *before* a
+    /// purge could miss an entry that was still fresh then, so debug
+    /// builds assert that no negative store or lookup passes a `now`
+    /// earlier than the last purge.
+    fn insert_negative(
+        &mut self,
+        name: Name,
+        rtype: RecordType,
+        rcode: Rcode,
+        expires_at: SimTime,
+        now: SimTime,
+    ) {
+        self.debug_assert_not_before_purge(now);
+        if self.negatives.len() >= self.neg_purge_at {
+            self.negatives.retain(|_, e| e.expires_at > now);
+            self.neg_purge_at = (self.negatives.len() * 2).max(NEG_PURGE_FLOOR);
+            self.neg_purged_at = now;
+        }
+        self.negatives
+            .insert((name, rtype), NegEntry { rcode, expires_at });
     }
 
     /// See [`Cache::store_failure`].
@@ -665,13 +706,7 @@ impl CacheCore {
             None,
             0,
         );
-        self.negatives.insert(
-            (name, rtype),
-            NegEntry {
-                rcode: Rcode::ServFail,
-                expires_at: now + ttl_span(ttl),
-            },
-        );
+        self.insert_negative(name, rtype, Rcode::ServFail, now + ttl_span(ttl), now);
     }
 
     /// See [`Cache::get_negative`].
@@ -681,8 +716,18 @@ impl CacheCore {
         rtype: RecordType,
         now: SimTime,
     ) -> Option<Rcode> {
+        self.debug_assert_not_before_purge(now);
         let e = self.negatives.get(&(name.clone(), rtype))?;
         (e.expires_at > now).then_some(e.rcode)
+    }
+
+    /// The time-order precondition of [`CacheCore::insert_negative`].
+    fn debug_assert_not_before_purge(&self, now: SimTime) {
+        debug_assert!(
+            now >= self.neg_purged_at,
+            "negative cache used at {now:?}, before its purge at {:?}",
+            self.neg_purged_at
+        );
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -751,6 +796,8 @@ impl CacheCore {
         self.probation.clear();
         self.protected.clear();
         self.negatives.clear();
+        self.neg_purge_at = NEG_PURGE_FLOOR;
+        self.neg_purged_at = SimTime::ZERO;
     }
 }
 
@@ -1067,6 +1114,10 @@ impl Cache {
 
     /// Stores a negative answer (NXDOMAIN or NODATA) bounded by the SOA
     /// `minimum` / SOA TTL pair per RFC 2308.
+    ///
+    /// Now and then a store first drops the negatives already expired
+    /// at `now`. That is invisible only if `now` never decreases across
+    /// this cache's negative stores and lookups; debug builds assert it.
     #[allow(clippy::too_many_arguments)]
     pub fn store_negative(
         &mut self,
@@ -1087,7 +1138,8 @@ impl Cache {
     /// answered from this entry instead of hammering dead servers —
     /// RFC 8767's "failure recheck timer". Journalled as a
     /// [`CacheOp::NegCache`] transaction so provenance forensics see
-    /// the outage response, even though no RRset is held.
+    /// the outage response, even though no RRset is held. Shares the
+    /// non-decreasing-`now` precondition of [`Cache::store_negative`].
     pub fn store_failure(&mut self, name: Name, rtype: RecordType, ttl: Ttl, now: SimTime) {
         let mut sink = SeqSink {
             meta: self.meta.borrow_mut(),
@@ -1984,5 +2036,70 @@ mod tests {
         assert!(c
             .get(&n("hot.example"), RecordType::A, SimTime::from_secs(3))
             .is_none());
+    }
+
+    #[test]
+    fn random_subdomain_negatives_stay_bounded_and_answer_as_unpurged() {
+        const ROUND: usize = 1_024;
+        const ROUNDS: u64 = 10;
+        const NEG_TTL_S: u64 = 300;
+        let mut c = Cache::new();
+        // What an unpurged table would hold: every store ever made.
+        let mut unpurged: HashMap<Name, (Rcode, SimTime)> = HashMap::new();
+        let mut rng = dnsttl_netsim::SimRng::seed_from(0x4E58);
+        let mut peak = 0;
+        for round in 0..ROUNDS {
+            let now = SimTime::from_secs(60 + round * NEG_TTL_S);
+            for i in 0..ROUND {
+                let name = n(&format!("x{:016x}.zipf", rng.next_u64()));
+                // Every 16th is a cached upstream failure (capped at
+                // 300 s); a few zones publish a 1 s negative TTL, so
+                // purges meet entries that are about to expire.
+                let (rcode, ttl_s) = if i % 16 == 0 {
+                    c.store_failure(name.clone(), RecordType::A, Ttl::from_secs(600), now);
+                    (Rcode::ServFail, NEG_TTL_S)
+                } else {
+                    let ttl_s = if i % 7 == 3 { 1 } else { NEG_TTL_S };
+                    c.store_negative(
+                        name.clone(),
+                        RecordType::A,
+                        Rcode::NxDomain,
+                        Ttl::from_secs(ttl_s as u32),
+                        Ttl::HOUR,
+                        now,
+                        &policy(),
+                    );
+                    (Rcode::NxDomain, ttl_s)
+                };
+                unpurged.insert(name, (rcode, now + SimDuration::from_secs(ttl_s)));
+                peak = peak.max(c.core.negatives.len());
+            }
+            for after_s in [0, 1, NEG_TTL_S - 1, NEG_TTL_S] {
+                let at = now + SimDuration::from_secs(after_s);
+                for (name, (rcode, expires)) in &unpurged {
+                    let expect = (*expires > at).then_some(*rcode);
+                    assert_eq!(
+                        c.get_negative(name, RecordType::A, at),
+                        expect,
+                        "{name} at {at:?}"
+                    );
+                }
+            }
+        }
+        assert!(peak <= 2 * ROUND, "negative table peaked at {peak} entries");
+        assert_eq!(unpurged.len(), ROUND * ROUNDS as usize);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before its purge")]
+    fn negative_lookup_before_a_purge_is_caught() {
+        let mut c = Cache::new();
+        let late = SimTime::from_secs(1_000);
+        // Enough stores at `late` for one to purge.
+        for i in 0..=NEG_PURGE_FLOOR {
+            c.store_failure(n(&format!("x{i}.zipf")), RecordType::A, Ttl::HOUR, late);
+        }
+        c.get_negative(&n("x0.zipf"), RecordType::A, SimTime::from_secs(999));
     }
 }
