@@ -202,26 +202,19 @@ impl DnsService for AuthoritativeServer {
         match zone.lookup(&question.qname, question.qtype) {
             ZoneLookup::Answer {
                 records,
+                rrsigs,
                 additionals,
             } => {
                 response.header.authoritative = true;
-                // DNSSEC: attach the RRSIG covering the answered RRset
-                // (signed zones only; RFC 4035 §3.1.1). Validating
-                // resolvers need it; others ignore it.
-                let mut signatures = Vec::new();
-                for sig in zone.get(&question.qname, RecordType::RRSIG) {
-                    if let dnsttl_wire::RData::Rrsig { type_covered, .. } = &sig.rdata {
-                        if records.iter().any(|r| r.record_type() == *type_covered) {
-                            signatures.push(sig.clone());
-                        }
-                    }
-                }
                 response.answers = records;
                 if self.rotate_answers && response.answers.len() > 1 {
                     let k = (self.queries_answered % response.answers.len() as u64) as usize;
                     response.answers.rotate_left(k);
                 }
-                response.answers.extend(signatures);
+                // DNSSEC: the covering RRSIGs follow the answered RRsets
+                // (signed zones only). Validating resolvers need them;
+                // others ignore them.
+                response.answers.extend(rrsigs);
                 response.additionals = additionals;
                 self.note_response("answer");
             }
@@ -413,6 +406,84 @@ mod tests {
             .rdata
             .to_string();
         assert_eq!(a1, a2);
+    }
+
+    #[test]
+    fn an_answer_costs_one_owner_probe() {
+        use crate::zone::tests::probes;
+        let mut zone = ZoneBuilder::new("zipf").ns("zipf", "ns.zipf", Ttl::HOUR);
+        for k in 0..2_048 {
+            zone = zone.a(&format!("r{k}.zipf"), "10.0.0.1", Ttl::MINUTE);
+        }
+        let mut srv = AuthoritativeServer::new("ns.zipf").with_zone(zone.build());
+        let q = Message::iterative_query(1, n("r1234.zipf"), RecordType::A);
+        probes();
+        let r = srv.handle_query(&q, client(1), SimTime::ZERO);
+        assert_eq!(probes(), 1, "lookup and signatures share one probe");
+        assert_eq!(r.answers.len(), 1);
+    }
+
+    #[test]
+    fn signed_answers_carry_exactly_their_covering_rrsigs() {
+        use crate::dnssec::sign_zone;
+        use crate::zone::tests::probes;
+        let mut zone = ZoneBuilder::new("example")
+            .ns("example", "ns.example", Ttl::HOUR)
+            .a("ns.example", "192.0.2.53", Ttl::HOUR)
+            .a("www.example", "203.0.113.1", Ttl::MINUTE)
+            .a("www.example", "203.0.113.2", Ttl::MINUTE)
+            .txt("www.example", "v=1", Ttl::MINUTE)
+            .cname("alias.example", "www.example", Ttl::MINUTE)
+            .build();
+        sign_zone(&mut zone);
+        let mut srv = AuthoritativeServer::new("ns.example").with_zone(zone);
+        let covered = |answers: &[dnsttl_wire::Record]| -> Vec<(String, RecordType)> {
+            answers
+                .iter()
+                .filter_map(|r| match &r.rdata {
+                    dnsttl_wire::RData::Rrsig { type_covered, .. } => {
+                        Some((r.name.to_string(), *type_covered))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+
+        // Direct answer: the two A records, then only the A signature
+        // (not the TXT one at the same owner).
+        let q = Message::iterative_query(1, n("www.example"), RecordType::A);
+        probes();
+        let r = srv.handle_query(&q, client(1), SimTime::ZERO);
+        assert_eq!(probes(), 1);
+        assert_eq!(r.answers.len(), 3);
+        assert_eq!(
+            covered(&r.answers),
+            [("www.example.".into(), RecordType::A)]
+        );
+
+        // CNAME chain: the signature at the queried name covering the
+        // CNAME; the target's own signatures are not at the qname.
+        let q = Message::iterative_query(2, n("alias.example"), RecordType::A);
+        let r = srv.handle_query(&q, client(1), SimTime::ZERO);
+        let types: Vec<RecordType> = r.answers.iter().map(|x| x.record_type()).collect();
+        assert_eq!(
+            types,
+            [
+                RecordType::CNAME,
+                RecordType::A,
+                RecordType::A,
+                RecordType::RRSIG
+            ]
+        );
+        assert_eq!(
+            covered(&r.answers),
+            [("alias.example.".into(), RecordType::CNAME)]
+        );
+
+        // A NODATA answer carries no signature.
+        let q = Message::iterative_query(3, n("www.example"), RecordType::MX);
+        let r = srv.handle_query(&q, client(1), SimTime::ZERO);
+        assert!(r.answers.is_empty());
     }
 
     #[test]

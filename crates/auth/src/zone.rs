@@ -19,6 +19,9 @@ pub enum ZoneLookup {
     Answer {
         /// Matching records (possibly preceded by a CNAME chain).
         records: Vec<Record>,
+        /// RRSIGs at the queried name covering a type in `records`
+        /// (signed zones only; RFC 4035 §3.1.1).
+        rrsigs: Vec<Record>,
         /// Additional-section addresses for NS/MX targets in this zone.
         additionals: Vec<Record>,
     },
@@ -214,20 +217,16 @@ impl Zone {
     /// checks `qname` itself with its own probe.
     fn cut_above(&self, qname: &Name) -> Option<(&Name, &RRsets)> {
         let (top, depth) = (self.origin.label_count(), qname.label_count());
-        if depth < top + 2 {
-            return None;
-        }
-        // `ancestry()` yields the root first, so the first cut found
-        // is the highest (a zone cannot see past its first cut).
-        qname
-            .ancestry()
-            .into_iter()
-            .skip(top + 1)
-            .take(depth - top - 1)
-            .find_map(|ancestor| {
+        let mut ancestor = qname.clone();
+        // Deepest first, so the last cut found is the highest (a zone
+        // cannot see past its first cut).
+        (top + 1..depth)
+            .filter_map(|_| {
+                ancestor = ancestor.parent()?;
                 self.owner(&ancestor)
                     .filter(|(_, rrsets)| rrsets.contains_key(&RecordType::NS))
             })
+            .last()
     }
 
     /// The referral for a delegation cut.
@@ -315,6 +314,7 @@ impl Zone {
                 }
             }
             return ZoneLookup::Answer {
+                rrsigs: covering_rrsigs(rrsets, direct),
                 records: direct.to_vec(),
                 additionals,
             };
@@ -327,30 +327,29 @@ impl Zone {
         if qtype != RecordType::CNAME {
             if let Some(first) = of_type(rrsets, RecordType::CNAME).first() {
                 let mut records = vec![first.clone()];
-                let mut seen: Vec<Name> = vec![qname.clone()];
-                let mut cursor = first.clone();
                 for _ in 0..8 {
-                    let RData::Cname(target) = &cursor.rdata else {
+                    let Some(RData::Cname(target)) = records.last().map(|r| r.rdata.clone()) else {
                         break;
                     };
-                    if seen.contains(target) {
+                    // The chain's owners are the names visited so far.
+                    if records.iter().any(|r| r.name == target) {
                         break; // loop: stop chasing, serve what we have
                     }
-                    seen.push(target.clone());
-                    let direct = self.get(target, qtype);
+                    let Some((_, at_target)) = self.owner(&target) else {
+                        break;
+                    };
+                    let direct = of_type(at_target, qtype);
                     if !direct.is_empty() {
                         records.extend_from_slice(direct);
                         break;
                     }
-                    match self.get(target, RecordType::CNAME).first() {
-                        Some(next) => {
-                            records.push(next.clone());
-                            cursor = next.clone();
-                        }
+                    match of_type(at_target, RecordType::CNAME).first() {
+                        Some(next) => records.push(next.clone()),
                         None => break,
                     }
                 }
                 return ZoneLookup::Answer {
+                    rrsigs: covering_rrsigs(rrsets, &records),
                     records,
                     additionals: Vec::new(),
                 };
@@ -366,6 +365,16 @@ impl Zone {
 /// The records of `rtype` in one owner's RRsets, as stored.
 fn of_type(rrsets: &RRsets, rtype: RecordType) -> &[Record] {
     rrsets.get(&rtype).map_or(&[], Vec::as_slice)
+}
+
+/// The owner's RRSIGs that cover the type of some record in `records`.
+fn covering_rrsigs(rrsets: &RRsets, records: &[Record]) -> Vec<Record> {
+    let covered = |sig: &&Record| {
+        matches!(&sig.rdata, RData::Rrsig { type_covered, .. }
+            if records.iter().any(|r| r.record_type() == *type_covered))
+    };
+    let sigs = of_type(rrsets, RecordType::RRSIG);
+    sigs.iter().filter(covered).cloned().collect()
 }
 
 /// Fluent zone construction for experiments and tests.
@@ -493,7 +502,7 @@ impl ZoneBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dnsttl_netsim::SimRng;
     use std::cell::Cell;
@@ -504,12 +513,12 @@ mod tests {
 
     /// Counts one probe of a zone's owner map (called from the probe
     /// helpers, test builds only).
-    pub(super) fn count_probe() {
+    pub(crate) fn count_probe() {
         PROBES.with(|p| p.set(p.get() + 1));
     }
 
-    /// Owner-map probes since the last call.
-    fn probes() -> usize {
+    /// Owner-map probes on this thread since the last call.
+    pub(crate) fn probes() -> usize {
         PROBES.with(Cell::take)
     }
 
@@ -577,6 +586,7 @@ mod tests {
             ZoneLookup::Answer {
                 records,
                 additionals,
+                ..
             } => {
                 assert_eq!(records[0].ttl, Ttl::HOUR); // child's own TTL
                                                        // Additional carries the in-zone address of the NS host
@@ -773,6 +783,7 @@ mod tests {
                 }
             }
             return ZoneLookup::Answer {
+                rrsigs: rrsigs_oracle(zone, qname, direct),
                 records: direct.to_vec(),
                 additionals,
             };
@@ -804,6 +815,7 @@ mod tests {
                     }
                 }
                 return ZoneLookup::Answer {
+                    rrsigs: rrsigs_oracle(zone, qname, &records),
                     records,
                     additionals: Vec::new(),
                 };
@@ -818,6 +830,21 @@ mod tests {
                 soa: zone.soa_record(),
             }
         }
+    }
+
+    /// The signatures the server attached before `lookup` returned
+    /// them: a second probe for the RRSIGs at `qname`, filtered to the
+    /// answered types.
+    fn rrsigs_oracle(zone: &Zone, qname: &Name, records: &[Record]) -> Vec<Record> {
+        let mut signatures = Vec::new();
+        for sig in zone.get(qname, RecordType::RRSIG) {
+            if let RData::Rrsig { type_covered, .. } = &sig.rdata {
+                if records.iter().any(|r| r.record_type() == *type_covered) {
+                    signatures.push(sig.clone());
+                }
+            }
+        }
+        signatures
     }
 
     /// A random name 1–4 labels below `origin`, drawn from a small

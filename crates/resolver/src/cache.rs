@@ -291,8 +291,6 @@ impl CacheCore {
             sink.stats().rejected_stores += 1;
             return;
         }
-        // Removal cause for the entry currently under the key, if any.
-        let mut displaced: Option<(CacheOp, Entry)> = None;
         let mut refresh = false;
         // Index key + tier of the entry this store replaces (refreshes
         // move an entry's expiry too, so the stale key must go either
@@ -304,6 +302,9 @@ impl CacheCore {
         let fingerprint = rrset.fingerprint();
         if let Some(existing) = self.entries.get(&key) {
             let fresh = existing.pinned || existing.expires_at > now;
+            // Removal cause for the entry under the key, if any; noted
+            // here, as the new entry overwrites it below.
+            let mut displaced = None;
             if fresh {
                 let rejected = existing.rank > rank // lower rank never displaces higher
                     || (policy.centricity == Centricity::ParentCentric
@@ -319,13 +320,28 @@ impl CacheCore {
                 if existing.fingerprint == fingerprint {
                     refresh = true;
                 } else {
-                    displaced = Some((CacheOp::Overwrite, existing.clone()));
+                    displaced = Some(CacheOp::Overwrite);
                 }
                 keep_protected = existing.protected;
             } else {
                 // Past its TTL: whatever replaces it, the old entry
                 // died of expiry.
-                displaced = Some((CacheOp::Expire, existing.clone()));
+                displaced = Some(CacheOp::Expire);
+            }
+            if let Some(cause) = displaced {
+                match cause {
+                    CacheOp::Overwrite => sink.stats().overwrites += 1,
+                    _ => sink.stats().expiries += 1,
+                }
+                sink.note(
+                    now,
+                    cause,
+                    &existing.rrset,
+                    existing.rank,
+                    existing.provenance,
+                    Some(now.since(existing.stored_at).as_millis()),
+                    existing.fingerprint,
+                );
             }
             if !existing.pinned {
                 old_index = Some((
@@ -347,21 +363,6 @@ impl CacheCore {
             original_ttl,
             effective_ttl: ttl,
         };
-        if let Some((cause, old)) = displaced {
-            match cause {
-                CacheOp::Overwrite => sink.stats().overwrites += 1,
-                _ => sink.stats().expiries += 1,
-            }
-            sink.note(
-                now,
-                cause,
-                &old.rrset,
-                old.rank,
-                old.provenance,
-                Some(now.since(old.stored_at).as_millis()),
-                old.fingerprint,
-            );
-        }
         let mut rrset = rrset;
         rrset.ttl = ttl;
         if let Some((stale_key, was_protected)) = old_index {

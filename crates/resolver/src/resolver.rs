@@ -832,9 +832,7 @@ impl RecursiveResolver {
         ctx: &mut Ctx,
         depth: usize,
     ) -> Option<(Name, Vec<(Name, IpAddr)>)> {
-        let mut ancestry = name.ancestry();
-        ancestry.reverse(); // deepest first
-        for zone in ancestry {
+        for zone in std::iter::successors(Some(name.clone()), Name::parent) {
             if zone.is_root() {
                 break;
             }
@@ -1254,21 +1252,24 @@ mod metrics {
     pub const BACKOFF_SKIPS: MetricKey = MetricKey::new("resolver_backoff_skips");
 }
 
-/// Groups a section's records into RRsets (name+type runs).
+/// Groups a section's records into RRsets by (name, type), in order of
+/// first appearance (a linear scan: a section holds a few RRsets).
 fn group_rrsets(records: &[Record]) -> Vec<RRset> {
-    let mut order: Vec<(Name, RecordType)> = Vec::new();
-    let mut groups: HashMap<(Name, RecordType), Vec<Record>> = HashMap::new();
+    let mut sets: Vec<RRset> = Vec::new();
     for r in records {
-        let key = (r.name.clone(), r.record_type());
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
+        let rtype = r.record_type();
+        match sets
+            .iter_mut()
+            .find(|s| s.rtype == rtype && s.name == r.name)
+        {
+            Some(set) => {
+                set.ttl = set.ttl.min(r.ttl); // RFC 2181 §5.2
+                set.rdatas.push(r.rdata.clone());
+            }
+            None => sets.extend(RRset::from_records(std::slice::from_ref(r))),
         }
-        groups.entry(key).or_default().push(r.clone());
     }
-    order
-        .into_iter()
-        .filter_map(|key| RRset::from_records(&groups[&key]))
-        .collect()
+    sets
 }
 
 #[cfg(test)]

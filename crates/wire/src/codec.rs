@@ -6,10 +6,10 @@
 //! fidelity is enforced by property tests in `tests/` of this crate.
 
 use crate::message::{Header, Message, Opcode, Question, Rcode};
+use crate::name::{MAX_LABEL_LEN, MAX_NAME_LEN};
 use crate::rdata::{RData, RecordType, SoaData};
 use crate::record::{Class, Record};
 use crate::{Name, Ttl, WireError};
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Upper bound on an encoded message (TCP-framed DNS limit).
@@ -19,20 +19,20 @@ pub const MAX_MESSAGE_LEN: usize = 65_535;
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct Encoder {
+struct Encoder<'a> {
     buf: Vec<u8>,
-    /// Canonical name → offset of an earlier occurrence, for
-    /// compression. Lookup-only (never iterated): pointer targets
-    /// depend on encounter order in the message, not map order, so the
-    /// encoded bytes stay deterministic.
-    name_offsets: HashMap<String, usize>,
+    /// Compression targets: each suffix written in full so far, as a
+    /// slice of its name's buffer, with its offset. Matched by a
+    /// case-insensitive linear scan (a message has a few dozen at
+    /// most); added only when unmatched, so the first occurrence wins.
+    name_offsets: Vec<(&'a str, u16)>,
 }
 
-impl Encoder {
-    fn new() -> Encoder {
+impl<'a> Encoder<'a> {
+    fn new() -> Encoder<'a> {
         Encoder {
             buf: Vec::with_capacity(512),
-            name_offsets: HashMap::new(),
+            name_offsets: Vec::with_capacity(16),
         }
     }
 
@@ -53,26 +53,26 @@ impl Encoder {
     /// For each suffix of the name we either emit a pointer to a prior
     /// occurrence or emit the label and remember the offset (offsets must
     /// fit in 14 bits to be pointer targets).
-    fn name(&mut self, name: &Name) {
+    fn name(&mut self, name: &'a Name) {
         if name.is_root() {
             self.u8(0);
             return;
         }
-        // One case-folded copy per name; every suffix key below is a
-        // borrowed slice of it (the old code allocated a fresh String
-        // per suffix per name).
-        let canon = name.canonical();
         let repr = name.as_str();
         let mut off = 0;
         while off < repr.len() {
-            let suffix = &canon[off..];
-            if let Some(&prior) = self.name_offsets.get(suffix) {
-                self.u16(0xC000 | prior as u16);
+            let suffix = &repr[off..];
+            if let Some(&(_, prior)) = self
+                .name_offsets
+                .iter()
+                .find(|(known, _)| known.eq_ignore_ascii_case(suffix))
+            {
+                self.u16(0xC000 | prior);
                 return;
             }
             let here = self.buf.len();
             if here < 0x3FFF {
-                self.name_offsets.insert(suffix.to_owned(), here);
+                self.name_offsets.push((suffix, here as u16));
             }
             let label_len = repr[off..].find('.').expect("repr is dot-terminated");
             let label = &repr[off..off + label_len];
@@ -83,13 +83,13 @@ impl Encoder {
         self.u8(0); // root terminator
     }
 
-    fn question(&mut self, q: &Question) {
+    fn question(&mut self, q: &'a Question) {
         self.name(&q.qname);
         self.u16(q.qtype.code());
         self.u16(q.qclass.code());
     }
 
-    fn record(&mut self, r: &Record) {
+    fn record(&mut self, r: &'a Record) {
         self.name(&r.name);
         self.u16(r.record_type().code());
         self.u16(r.class.code());
@@ -103,7 +103,7 @@ impl Encoder {
         self.buf[len_pos..len_pos + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
     }
 
-    fn rdata(&mut self, rd: &RData) {
+    fn rdata(&mut self, rd: &'a RData) {
         match rd {
             RData::A(addr) => self.buf.extend_from_slice(&addr.octets()),
             RData::Aaaa(addr) => self.buf.extend_from_slice(&addr.octets()),
@@ -261,9 +261,11 @@ impl<'a> Decoder<'a> {
     /// Reads a possibly-compressed name starting at the current offset.
     ///
     /// Pointers must point strictly backwards, which also bounds the
-    /// number of jumps and rules out loops.
+    /// number of jumps and rules out loops. The name is assembled on
+    /// the stack, length-checked per label, then allocated once.
     fn name(&mut self) -> Result<Name, WireError> {
-        let mut repr = String::new();
+        let mut repr = [0u8; MAX_NAME_LEN];
+        let mut used = 0;
         let mut pos = self.pos;
         let mut followed_pointer = false;
         let mut end_after_first_pointer = self.pos;
@@ -292,7 +294,7 @@ impl<'a> Decoder<'a> {
                 pos += 1;
                 break;
             } else {
-                if len > crate::name::MAX_LABEL_LEN {
+                if len > MAX_LABEL_LEN {
                     return Err(WireError::LabelTooLong(len));
                 }
                 let bytes = self
@@ -310,8 +312,13 @@ impl<'a> Decoder<'a> {
                 if let Some(&b) = bytes.iter().find(|&&b| !b.is_ascii() || b == b'.') {
                     return Err(WireError::InvalidCharacter(b as char));
                 }
-                repr.push_str(std::str::from_utf8(bytes).expect("checked ASCII"));
-                repr.push('.');
+                // Presentation form so far + label + dot + terminator.
+                if used + len + 2 > MAX_NAME_LEN {
+                    return Err(WireError::NameTooLong(used + len + 2));
+                }
+                repr[used..used + len].copy_from_slice(bytes);
+                repr[used + len] = b'.';
+                used += len + 1;
                 pos += 1 + len;
             }
         }
@@ -320,7 +327,8 @@ impl<'a> Decoder<'a> {
         } else {
             pos
         };
-        Name::from_wire_repr(repr)
+        let repr = std::str::from_utf8(&repr[..used]).expect("checked ASCII");
+        Ok(Name::from_valid_repr(repr))
     }
 
     fn question(&mut self) -> Result<Question, WireError> {
@@ -636,6 +644,276 @@ mod tests {
         wire[ttl_off] = 0x80;
         let back = decode_message(&wire).unwrap();
         assert_eq!(back.answers[0].ttl, Ttl::ZERO);
+    }
+
+    /// The encoder before its compression table became a borrowed-slice
+    /// `Vec`: a `HashMap` from each suffix's lowercase copy to the
+    /// offset of its first occurrence. Kept as the byte-identity
+    /// oracle; everything but the name compression is written the same
+    /// way, so only `name` differs from the production encoder.
+    struct OracleEncoder {
+        buf: Vec<u8>,
+        name_offsets: std::collections::HashMap<String, usize>,
+    }
+
+    impl OracleEncoder {
+        fn name(&mut self, name: &Name) {
+            if name.is_root() {
+                self.buf.push(0);
+                return;
+            }
+            let canon = name.canonical();
+            let repr = name.as_str();
+            let mut off = 0;
+            while off < repr.len() {
+                let suffix = &canon[off..];
+                if let Some(&prior) = self.name_offsets.get(suffix) {
+                    self.buf
+                        .extend_from_slice(&(0xC000 | prior as u16).to_be_bytes());
+                    return;
+                }
+                let here = self.buf.len();
+                if here < 0x3FFF {
+                    self.name_offsets.insert(suffix.to_owned(), here);
+                }
+                let label_len = repr[off..].find('.').expect("repr is dot-terminated");
+                self.buf.push(label_len as u8);
+                self.buf
+                    .extend_from_slice(&repr.as_bytes()[off..off + label_len]);
+                off += label_len + 1;
+            }
+            self.buf.push(0);
+        }
+
+        fn record(&mut self, r: &Record) {
+            self.name(&r.name);
+            let mut fixed = Encoder::new();
+            fixed.u16(r.record_type().code());
+            fixed.u16(r.class.code());
+            fixed.u32(r.ttl.as_secs());
+            self.buf.extend_from_slice(&fixed.buf);
+            let len_pos = self.buf.len();
+            self.buf.extend_from_slice(&[0, 0]);
+            let start = self.buf.len();
+            match &r.rdata {
+                RData::Ns(n) | RData::Cname(n) => self.name(n),
+                RData::Soa(soa) => {
+                    self.name(&soa.mname);
+                    self.name(&soa.rname);
+                    for v in [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum] {
+                        self.buf.extend_from_slice(&v.to_be_bytes());
+                    }
+                }
+                RData::Mx {
+                    preference,
+                    exchange,
+                } => {
+                    self.buf.extend_from_slice(&preference.to_be_bytes());
+                    self.name(exchange);
+                }
+                // No names to compress: the production rdata writer
+                // (RRSIG signers are written uncompressed there).
+                other => {
+                    let mut e = Encoder::new();
+                    e.rdata(other);
+                    self.buf.extend_from_slice(&e.buf);
+                }
+            }
+            let rdlen = (self.buf.len() - start) as u16;
+            self.buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+        }
+    }
+
+    fn encode_with_oracle(msg: &Message) -> Vec<u8> {
+        // The 12-byte header has no names in it.
+        let mut header = encode_message(&Message {
+            header: msg.header,
+            ..Message::default()
+        })
+        .unwrap();
+        for (i, count) in [
+            msg.questions.len(),
+            msg.answers.len(),
+            msg.authorities.len(),
+            msg.additionals.len(),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            header[4 + 2 * i..6 + 2 * i].copy_from_slice(&(count as u16).to_be_bytes());
+        }
+        let mut e = OracleEncoder {
+            buf: header,
+            name_offsets: std::collections::HashMap::new(),
+        };
+        for q in &msg.questions {
+            e.name(&q.qname);
+            e.buf.extend_from_slice(&q.qtype.code().to_be_bytes());
+            e.buf.extend_from_slice(&q.qclass.code().to_be_bytes());
+        }
+        for (_, r) in msg.sectioned_records() {
+            e.record(r);
+        }
+        e.buf
+    }
+
+    /// A name from a small pool of labels in random case, so names
+    /// repeat, share suffixes and differ only in case.
+    fn pool_name(rng: &mut crate::TestRng) -> Name {
+        const LABELS: [&str; 7] = ["a", "nic", "cl", "example", "ns1", "www", "zipf"];
+        let labels: Vec<String> = (0..rng.below(5))
+            .map(|_| {
+                rng.pick(&LABELS)
+                    .chars()
+                    .map(|c| {
+                        if rng.below(3) == 0 {
+                            c.to_ascii_uppercase()
+                        } else {
+                            c
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Name::from_labels(labels).unwrap()
+    }
+
+    fn pool_record(rng: &mut crate::TestRng) -> Record {
+        let rdata = match rng.below(8) {
+            0 => RData::A([192, 0, 2, rng.below(256) as u8].into()),
+            1 => RData::Ns(pool_name(rng)),
+            2 => RData::Cname(pool_name(rng)),
+            3 => RData::Soa(SoaData {
+                mname: pool_name(rng),
+                rname: pool_name(rng),
+                serial: rng.next_u64() as u32,
+                refresh: 7200,
+                retry: 3600,
+                expire: 1_209_600,
+                minimum: 300,
+            }),
+            4 => RData::Mx {
+                preference: 10,
+                exchange: pool_name(rng),
+            },
+            5 => RData::Rrsig {
+                type_covered: RecordType::A,
+                algorithm: 13,
+                original_ttl: 3600,
+                signer: pool_name(rng),
+                signature: vec![7; rng.below(40)],
+            },
+            // Sometimes large enough to land later names around the
+            // end of the 14-bit pointer range (0x3FFF = 16,383).
+            6 => RData::Txt("t".repeat(if rng.below(3) == 0 {
+                16_100 + rng.below(300)
+            } else {
+                20
+            })),
+            _ => RData::Aaaa(std::net::Ipv6Addr::LOCALHOST),
+        };
+        Record::new(pool_name(rng), Ttl::HOUR, rdata)
+    }
+
+    #[test]
+    fn compression_table_matches_the_hashmap_oracle_byte_for_byte() {
+        let mut rng = crate::TestRng::new(0xC0_DEC);
+        let (mut past_pointer_range, mut signers) = (0, 0);
+        for _ in 0..3_000 {
+            let mut msg = Message::default();
+            msg.header.id = rng.next_u64() as u16;
+            for _ in 0..rng.below(3) {
+                msg.questions
+                    .push(Question::new(pool_name(&mut rng), RecordType::A));
+            }
+            for section in [&mut msg.answers, &mut msg.authorities, &mut msg.additionals] {
+                for _ in 0..rng.below(6) {
+                    section.push(pool_record(&mut rng));
+                }
+            }
+            let wire = encode_message(&msg).unwrap();
+            assert_eq!(wire, encode_with_oracle(&msg), "{msg:?}");
+            assert_eq!(decode_message(&wire).unwrap(), msg);
+            past_pointer_range += usize::from(wire.len() > 0x3FFF);
+            signers += msg
+                .sectioned_records()
+                .filter(
+                    |(_, r)| matches!(&r.rdata, RData::Rrsig { signer, .. } if !signer.is_root()),
+                )
+                .count();
+        }
+        assert!(past_pointer_range > 50, "{past_pointer_range}");
+        assert!(signers > 500, "{signers}");
+        // Every name start offset around the end of the pointer range,
+        // exactly: a TXT pad before a repeated owner name.
+        for pad in 16_000..16_300 {
+            let mut msg = Message::default();
+            let txt = RData::Txt("t".repeat(pad));
+            msg.answers.push(Record::new(Name::root(), Ttl::HOUR, txt));
+            for owner in ["a.Example", "a.example", "example"] {
+                let rdata = RData::A([192, 0, 2, 1].into());
+                msg.answers.push(Record::new(name(owner), Ttl::HOUR, rdata));
+            }
+            assert_eq!(
+                encode_message(&msg).unwrap(),
+                encode_with_oracle(&msg),
+                "{pad}"
+            );
+        }
+    }
+
+    #[test]
+    fn rrsig_signer_is_never_compressed() {
+        let owner = name("example");
+        let mut m = Message::default();
+        m.answers.push(Record::new(
+            owner.clone(),
+            Ttl::HOUR,
+            RData::Rrsig {
+                type_covered: RecordType::A,
+                algorithm: 13,
+                original_ttl: 3600,
+                signer: owner.clone(),
+                signature: vec![1; 4],
+            },
+        ));
+        let wire = encode_message(&m).unwrap();
+        // The signer follows the 18 fixed bytes after the owner name.
+        let signer_at = 12 + owner.wire_len() + 10 + 7;
+        assert_eq!(&wire[signer_at..signer_at + 9], b"\x07example\x00");
+    }
+
+    #[test]
+    fn name_built_through_pointers_past_255_octets_is_rejected() {
+        // Header with qdcount = 3, then three names, each two 63-octet
+        // labels followed by a pointer to the previous name: 129, 256
+        // and 383 octets in wire form once the pointers are followed.
+        let mut buf = vec![0u8; 12];
+        buf[5] = 3;
+        let mut prev: Option<u16> = None;
+        for fill in [b'a', b'b', b'c'] {
+            let start = buf.len();
+            for _ in 0..2 {
+                buf.push(63);
+                buf.extend(std::iter::repeat_n(fill, 63));
+            }
+            match prev {
+                Some(p) => buf.extend_from_slice(&(0xC000u16 | p).to_be_bytes()),
+                None => buf.push(0),
+            }
+            buf.extend_from_slice(&[0, 1, 0, 1]);
+            prev = Some(start as u16);
+        }
+        assert!(matches!(
+            decode_message(&buf),
+            Err(WireError::NameTooLong(n)) if n > MAX_NAME_LEN
+        ));
+        // The first name alone is fine.
+        buf[5] = 1;
+        assert_eq!(
+            decode_message(&buf).unwrap().questions[0].qname.wire_len(),
+            129
+        );
     }
 
     #[test]

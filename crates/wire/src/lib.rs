@@ -46,3 +46,33 @@ pub use name::Name;
 pub use rdata::{RData, RecordType, SoaData};
 pub use record::{Class, RRset, Record};
 pub use ttl::Ttl;
+
+#[cfg(test)]
+/// A seeded splitmix64 generator for this crate's randomized unit
+/// tests (the crate has no dependencies to draw one from).
+pub(crate) struct TestRng(u64);
+
+#[cfg(test)]
+impl TestRng {
+    pub(crate) fn new(seed: u64) -> TestRng {
+        TestRng(seed)
+    }
+
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform-enough draw from `0..n` (`n > 0`).
+    pub(crate) fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// One element of `items`.
+    pub(crate) fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len())]
+    }
+}

@@ -22,10 +22,13 @@
 //!   buffer — no allocation, no per-label pointer chasing;
 //! * `Hash` writes the cached 64-bit value — map lookups do not rescan
 //!   the name;
-//! * `Ord` is the RFC 4034 §6.1 canonical order, computed label-wise
-//!   from the root downward over borrowed subslices.
+//! * `Ord` is the RFC 4034 §6.1 canonical order, walked backwards label
+//!   by label over both buffers: no allocation, each byte read at most
+//!   twice, a few ns per `BTreeMap` probe step; `parent()` and
+//!   `ancestry()` allocate once per suffix.
 
 use crate::WireError;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -76,12 +79,17 @@ impl Name {
         Name { repr, hash }
     }
 
-    /// Builds a name from an already-validated dot-terminated buffer.
-    fn from_valid_repr(repr: String) -> Name {
-        let hash = folded_fnv(&repr);
+    /// Builds a name from a dot-terminated buffer whose labels are
+    /// already validated (non-empty ASCII without dots, each ≤
+    /// [`MAX_LABEL_LEN`], total ≤ [`MAX_NAME_LEN`]); `""` is the root.
+    /// One allocation, the shared buffer (none for the root).
+    pub(crate) fn from_valid_repr(repr: &str) -> Name {
+        if repr.is_empty() {
+            return Name::root();
+        }
         Name {
             repr: Arc::from(repr),
-            hash,
+            hash: folded_fnv(repr),
         }
     }
 
@@ -118,7 +126,7 @@ impl Name {
         let mut repr = String::with_capacity(s.len() + 1);
         repr.push_str(s);
         repr.push('.');
-        Ok(Name::from_valid_repr(repr))
+        Ok(Name::from_valid_repr(&repr))
     }
 
     /// Builds a name from raw labels, most-specific first.
@@ -154,21 +162,7 @@ impl Name {
         if repr.len() + 1 > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(repr.len() + 1));
         }
-        Ok(Name::from_valid_repr(repr))
-    }
-
-    /// Crate-internal: builds a name from a dot-terminated buffer whose
-    /// labels the wire decoder has already validated (non-empty ASCII, no
-    /// dots, each ≤ [`MAX_LABEL_LEN`]). Only the total length remains to
-    /// be checked here.
-    pub(crate) fn from_wire_repr(repr: String) -> Result<Name, WireError> {
-        if repr.is_empty() {
-            return Ok(Name::root());
-        }
-        if repr.len() + 1 > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(repr.len() + 1));
-        }
-        Ok(Name::from_valid_repr(repr))
+        Ok(Name::from_valid_repr(&repr))
     }
 
     /// The presentation form with its trailing dot (`"a.nic.uy."`,
@@ -196,13 +190,6 @@ impl Name {
     pub fn labels(&self) -> impl DoubleEndedIterator<Item = &str> {
         let body = &self.repr[..self.repr.len() - 1];
         body.split('.').filter(|l| !l.is_empty())
-    }
-
-    /// The labels from the root downward (`a.nic.uy` → `uy`, `nic`,
-    /// `a`) — the iteration order of canonical comparison.
-    fn labels_root_down(&self) -> impl Iterator<Item = &str> {
-        let body = &self.repr[..self.repr.len() - 1];
-        body.rsplit('.').filter(|l| !l.is_empty())
     }
 
     /// Number of labels; the root has zero.
@@ -238,12 +225,7 @@ impl Name {
             return None;
         }
         let cut = self.repr.find('.').expect("non-root names contain a dot");
-        let rest = &self.repr[cut + 1..];
-        if rest.is_empty() {
-            Some(Name::root())
-        } else {
-            Some(Name::from_valid_repr(rest.to_owned()))
-        }
+        Some(Name::from_valid_repr(&self.repr[cut + 1..]))
     }
 
     /// Prepends `label`, producing a child of this name.
@@ -266,7 +248,7 @@ impl Name {
         if repr.len() + 1 > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(repr.len() + 1));
         }
-        Ok(Name::from_valid_repr(repr))
+        Ok(Name::from_valid_repr(&repr))
     }
 
     /// True if `self` equals `zone` or sits below it in the tree.
@@ -305,22 +287,14 @@ impl Name {
         if self.is_root() {
             return out;
         }
-        // Label start offsets, rightmost (shallowest) suffix first.
-        let bytes = self.repr.as_bytes();
-        let mut starts: Vec<usize> = Vec::with_capacity(self.label_count());
-        starts.push(0);
-        for (i, &b) in bytes[..bytes.len() - 1].iter().enumerate() {
-            if b == b'.' {
-                starts.push(i + 1);
-            }
+        // Each dot before the terminating one starts a suffix; scanning
+        // backwards meets the shallowest first.
+        let mut end = self.repr.len() - 1;
+        while let Some(dot) = self.repr[..end].rfind('.') {
+            out.push(Name::from_valid_repr(&self.repr[dot + 1..]));
+            end = dot;
         }
-        for &start in starts.iter().rev() {
-            if start == 0 {
-                out.push(self.clone());
-            } else {
-                out.push(Name::from_valid_repr(self.repr[start..].to_owned()));
-            }
-        }
+        out.push(self.clone());
         out
     }
 
@@ -349,29 +323,57 @@ impl std::hash::Hash for Name {
 }
 
 impl PartialOrd for Name {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Name {
-    /// Canonical DNS ordering (RFC 4034 §6.1): compare label sequences
-    /// from the root downward, case-insensitively.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if self.hash == other.hash && self.repr.eq_ignore_ascii_case(&other.repr) {
-            return std::cmp::Ordering::Equal;
+    /// Canonical DNS ordering (RFC 4034 §6.1): label sequences from the
+    /// root downward, each label as case-folded bytes (a prefix first).
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self == other {
+            return Ordering::Equal;
         }
-        for (la, lb) in self.labels_root_down().zip(other.labels_root_down()) {
-            let ord = la
-                .bytes()
-                .map(|c| c.to_ascii_lowercase())
-                .cmp(lb.bytes().map(|c| c.to_ascii_lowercase()));
-            if ord != std::cmp::Ordering::Equal {
+        // Unconsumed bodies (trailing dot stripped; empty for the root),
+        // whose last labels are peeled off in step.
+        let (mut a, mut b) = (body(&self.repr), body(&other.repr));
+        while !a.is_empty() && !b.is_empty() {
+            let ((rest_a, label_a), (rest_b, label_b)) = (split_last(a), split_last(b));
+            let ord = cmp_folded(label_a, label_b);
+            if ord != Ordering::Equal {
                 return ord;
             }
+            (a, b) = (rest_a, rest_b);
         }
-        self.label_count().cmp(&other.label_count())
+        // The one that ran out is the ancestor.
+        a.len().cmp(&b.len())
     }
+}
+
+/// A name's labels without the terminating dot; empty for the root.
+fn body(repr: &str) -> &[u8] {
+    &repr.as_bytes()[..repr.len() - 1]
+}
+
+/// Splits a body into everything before its last label (without the
+/// separating dot) and that label.
+fn split_last(body: &[u8]) -> (&[u8], &[u8]) {
+    match body.iter().rposition(|&c| c == b'.') {
+        Some(dot) => (&body[..dot], &body[dot + 1..]),
+        None => (&[], body),
+    }
+}
+
+/// Lexicographic order of two labels after ASCII case folding.
+fn cmp_folded(a: &[u8], b: &[u8]) -> Ordering {
+    for i in 0..a.len().min(b.len()) {
+        let ord = a[i].to_ascii_lowercase().cmp(&b[i].to_ascii_lowercase());
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    a.len().cmp(&b.len())
 }
 
 impl fmt::Display for Name {
@@ -536,6 +538,136 @@ mod tests {
             std::cmp::Ordering::Equal
         );
         assert!(n("a.example") < n("B.example"));
+    }
+
+    /// The label-iterator comparison `Ord` used before the backward
+    /// byte walk, kept as the oracle for the differential test below.
+    fn cmp_oracle(a: &Name, b: &Name) -> Ordering {
+        fn labels_root_down(name: &Name) -> impl Iterator<Item = &str> {
+            let body = &name.repr[..name.repr.len() - 1];
+            body.rsplit('.').filter(|l| !l.is_empty())
+        }
+        if a.hash == b.hash && a.repr.eq_ignore_ascii_case(&b.repr) {
+            return Ordering::Equal;
+        }
+        for (la, lb) in labels_root_down(a).zip(labels_root_down(b)) {
+            let ord = la
+                .bytes()
+                .map(|c| c.to_ascii_lowercase())
+                .cmp(lb.bytes().map(|c| c.to_ascii_lowercase()));
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        a.label_count().cmp(&b.label_count())
+    }
+
+    /// A label over mixed-case letters, digits and the odd ASCII the
+    /// wire decoder and `from_labels` accept — including `[`..`` ` ``,
+    /// which sit between `Z` and `a` unfolded but before `a`..`z`
+    /// folded, and the control bytes at both ends of the range.
+    fn random_label(rng: &mut crate::TestRng) -> String {
+        const CHARS: &[u8] = b"aAbBzZyY09-_*[\\]^`{|}~ !@/\x01\x7f";
+        const SHARED: [&str; 6] = ["ab", "abc", "AB", "a", "nic", "NIC"];
+        if rng.below(2) == 0 {
+            return rng.pick(&SHARED).to_string();
+        }
+        (0..=rng.below(4))
+            .map(|_| *rng.pick(CHARS) as char)
+            .collect()
+    }
+
+    fn random_name(rng: &mut crate::TestRng) -> Name {
+        let labels: Vec<String> = (0..rng.below(5)).map(|_| random_label(rng)).collect();
+        Name::from_labels(labels).unwrap()
+    }
+
+    /// A name close to `base`: recased, one label longer or shorter at
+    /// either end, or with one label edited — shared suffixes and
+    /// prefix labels are where a canonical-order bug would hide.
+    fn near(rng: &mut crate::TestRng, base: &Name) -> Name {
+        let mut labels: Vec<String> = base.labels().map(str::to_owned).collect();
+        match rng.below(5) {
+            0 => {
+                for l in &mut labels {
+                    *l = l
+                        .chars()
+                        .map(|c| {
+                            if rng.below(2) == 0 {
+                                c.to_ascii_uppercase()
+                            } else {
+                                c.to_ascii_lowercase()
+                            }
+                        })
+                        .collect();
+                }
+            }
+            1 => labels.insert(0, random_label(rng)),
+            2 if !labels.is_empty() => {
+                labels.remove(0);
+            }
+            3 if !labels.is_empty() => {
+                let i = rng.below(labels.len());
+                let c = *rng.pick(b"aZ_`0");
+                if rng.below(2) == 0 || labels[i].len() == 1 {
+                    labels[i].push(c as char);
+                } else {
+                    labels[i].pop();
+                }
+            }
+            _ => labels.push(random_label(rng)),
+        }
+        Name::from_labels(labels).unwrap()
+    }
+
+    #[test]
+    fn canonical_order_matches_the_label_iterator_oracle() {
+        let mut rng = crate::TestRng::new(0x6F72);
+        let (mut less, mut equal, mut greater) = (0, 0, 0);
+        for i in 0..120_000 {
+            let a = if i % 97 == 0 {
+                Name::root()
+            } else {
+                random_name(&mut rng)
+            };
+            let b = if rng.below(3) == 0 {
+                random_name(&mut rng)
+            } else {
+                near(&mut rng, &a)
+            };
+            let expect = cmp_oracle(&a, &b);
+            assert_eq!(a.cmp(&b), expect, "{a:?} vs {b:?}");
+            assert_eq!(b.cmp(&a), expect.reverse(), "{b:?} vs {a:?}");
+            assert_eq!(expect == Ordering::Equal, a == b, "{a:?} vs {b:?}");
+            match expect {
+                Ordering::Less => less += 1,
+                Ordering::Equal => equal += 1,
+                Ordering::Greater => greater += 1,
+            }
+        }
+        assert!(
+            less > 10_000 && equal > 1_000 && greater > 10_000,
+            "{less} {equal} {greater}"
+        );
+    }
+
+    #[test]
+    fn canonical_order_edge_cases() {
+        let o = |a: &Name, b: &Name| a.cmp(b);
+        let lab = |ls: &[&str]| Name::from_labels(ls).unwrap();
+        // A label that is a prefix of another sorts first.
+        assert_eq!(o(&n("ab.example"), &n("abc.example")), Ordering::Less);
+        // A name sorts before its descendants, the root before all.
+        assert_eq!(o(&n("example"), &n("a.example")), Ordering::Less);
+        assert_eq!(o(&Name::root(), &n("a")), Ordering::Less);
+        assert_eq!(o(&Name::root(), &Name::root()), Ordering::Equal);
+        // The last label decides before any deeper one does.
+        assert_eq!(o(&n("z.a"), &n("a.b")), Ordering::Less);
+        // `_` (0x5F) sorts after `Z` unfolded but before `z` folded.
+        assert_eq!(o(&lab(&["_"]), &lab(&["Z"])), Ordering::Less);
+        assert_eq!(o(&lab(&["_"]), &lab(&["a"])), Ordering::Less);
+        // Label boundaries count, not just bytes: `c` > `bc`.
+        assert_eq!(o(&lab(&["ab", "c"]), &lab(&["a", "bc"])), Ordering::Greater);
     }
 
     #[test]
